@@ -12,8 +12,9 @@
 //! (`load_line` / `store_line` / phase boundaries) checks whether the
 //! presented cycle has crossed the next interval boundary and, if so,
 //! emits one sample per elapsed interval — back-filling skipped intervals
-//! from counter deltas. Under the event scheduler whole span windows can
-//! pass between observations; the back-filled samples split the counter
+//! from counter deltas. A single long transaction (a DRAM fill, an MSHR
+//! stall, a flush) can carry simulated time across several boundaries
+//! between observations; the back-filled samples split the counter
 //! deltas evenly across the crossed boundaries (remainder to the last),
 //! which preserves every per-series *sum* exactly while interpolating the
 //! per-interval *shape*. DESIGN.md §14 argues the legality.

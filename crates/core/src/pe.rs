@@ -227,15 +227,6 @@ impl PeArray {
         self.drain_until
     }
 
-    /// Wake-time contract of the event-driven core: the first cycle the
-    /// issue port can accept a new operation with no wait. For a pipelined
-    /// array this is earlier than the drain cycle — the core must wake at
-    /// next-issue, not drain, or it would serialise the pipeline (at the
-    /// default single-cycle MAC the two coincide).
-    pub fn next_event_cycle(&self) -> u64 {
-        self.issue_free
-    }
-
     /// Number of MAC lanes.
     pub fn lanes(&self) -> usize {
         self.lanes
@@ -341,7 +332,6 @@ mod tests {
         // to the seed's busy_until = start + chunks contract.
         let mut pe = PeArray::new(16);
         assert_eq!(pe.execute_row_mac(10, 16), 11);
-        assert_eq!(pe.next_event_cycle(), 11);
         assert_eq!(pe.busy_until(), 11);
         assert_eq!(pe.mac_cycles(), 1);
         assert_eq!(pe.mac_ops(), 1);
@@ -354,17 +344,15 @@ mod tests {
         // II == latency == 4: two chunks take 8 cycles of port occupancy.
         assert_eq!(pe.execute_mac(0, 2), 8);
         assert_eq!(pe.mac_cycles(), 8);
-        assert_eq!(pe.next_event_cycle(), 8);
         assert_eq!(pe.busy_until(), 8);
     }
 
     #[test]
-    fn pipelined_wakes_at_next_issue_not_drain() {
+    fn pipelined_port_frees_before_drain() {
         let mut pe = PeArray::with_timing(16, 4, true, false);
         // II 1, latency 4: two chunks issue at 0 and 1, last drains at 5.
         assert_eq!(pe.execute_mac(0, 2), 5);
         assert_eq!(pe.mac_cycles(), 2);
-        assert_eq!(pe.next_event_cycle(), 2); // port free while draining
         assert_eq!(pe.busy_until(), 5);
         // A third op issues behind the port, not behind the drain.
         assert_eq!(pe.execute_mac(0, 1), 6);
@@ -420,7 +408,6 @@ mod tests {
         let mut pe = PeArray::new(16);
         pe.execute_mac(0, 3);
         assert_eq!(pe.execute_mac(10, 0), 10);
-        assert_eq!(pe.next_event_cycle(), 10);
         assert_eq!(pe.mac_cycles(), 3);
     }
 }

@@ -100,7 +100,9 @@ impl MemConfig {
     /// - `lsq_entries == 0` (no load could ever be queued);
     /// - `prefetch_mshr_cap >= mshr_count` (the demand-priority contract
     ///   reserves at least one MSHR for demand misses; the DMB used to clamp
-    ///   this silently, which configuration generators cannot observe).
+    ///   this silently, which configuration generators cannot observe);
+    /// - `prefetch_degree == 0`, or `prefetch_mshr_cap == 0` with a prefetch
+    ///   policy on (the prefetcher could never issue a line).
     ///
     /// Config generators — the DSE in particular — rely on this instead of
     /// re-checking knob combinations themselves.
@@ -130,6 +132,17 @@ impl MemConfig {
             return Err(SparseError::InvalidConfig(format!(
                 "prefetch_mshr_cap ({}) must leave at least one of the {} MSHRs for demand misses",
                 self.prefetch_mshr_cap, self.mshr_count
+            )));
+        }
+        if self.prefetch_degree == 0 {
+            return Err(SparseError::InvalidConfig(
+                "prefetch_degree must be at least 1".to_string(),
+            ));
+        }
+        if self.prefetch_mshr_cap == 0 && !self.prefetch.is_off() {
+            return Err(SparseError::InvalidConfig(format!(
+                "prefetch_mshr_cap must be at least 1 with prefetch policy {}",
+                self.prefetch.label()
             )));
         }
         Ok(())
@@ -249,6 +262,35 @@ mod tests {
                 ..MemConfig::default()
             };
             assert!(c.validate().is_ok(), "cap {cap} should validate");
+        }
+    }
+
+    #[test]
+    fn rejects_a_prefetcher_that_can_never_issue() {
+        let on = MemConfig {
+            prefetch: PrefetchPolicy::NextLine,
+            ..MemConfig::default()
+        };
+        for (c, want) in [
+            (
+                MemConfig {
+                    prefetch_degree: 0,
+                    ..MemConfig::default()
+                },
+                "prefetch_degree",
+            ),
+            (
+                MemConfig {
+                    prefetch_mshr_cap: 0,
+                    ..on
+                },
+                "prefetch_mshr_cap",
+            ),
+        ] {
+            match c.validate() {
+                Err(SparseError::InvalidConfig(msg)) => assert!(msg.contains(want), "msg: {msg}"),
+                other => panic!("expected InvalidConfig naming {want}, got {other:?}"),
+            }
         }
     }
 

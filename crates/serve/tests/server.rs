@@ -233,9 +233,29 @@ fn error_paths_return_clean_json() {
     assert!(resp.text().contains("unknown dataset"), "{}", resp.text());
     let resp = one_shot(&addr, "POST", "/simulate", &"x".repeat(512)).unwrap();
     assert_eq!(resp.status, 413);
+    // Zero-valued knobs are rejected by the same validation every entry
+    // point uses, naming the knob (`pe_lanes` sets the config's
+    // `num_pes`); the prefetcher is on so its MSHR share matters.
+    for (field, want) in [
+        ("pe_lanes", "num_pes"),
+        ("mac_latency", "mac_latency"),
+        ("prefetch_degree", "prefetch_degree"),
+        ("prefetch_mshr_cap", "prefetch_mshr_cap"),
+        ("scheduler", "unknown field \"scheduler\""),
+    ] {
+        let body = format!(r#"{{"dataset": "CR", "prefetch": "next-line", "{field}": 0}}"#);
+        let resp = one_shot(&addr, "POST", "/simulate", &body).unwrap();
+        assert_eq!(resp.status, 400, "{body}");
+        let doc = parse_json(&resp.text()).unwrap();
+        let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.contains(want), "{body} gave {error:?}");
+    }
 
     let stats = server.shutdown();
-    assert_eq!(stats.http_errors, 5, "404, 405, two 400s and the 413");
+    assert_eq!(
+        stats.http_errors, 10,
+        "404, 405, two 400s, the 413 and five rejected knobs"
+    );
     assert_eq!(stats.simulations, 0);
 }
 

@@ -10,15 +10,9 @@
 //!    from carrying the trace.
 //! 3. **Traces are well-formed** — clock-domain tracks are time-ordered and
 //!    phase begin/end markers pair up.
-//! 4. **Traces are scheduler-independent** — the event core's traces carry
-//!    timestamps bit-identical to the stepped core's (a skipped span may
-//!    never create a gap or reordering in any track). The event core
-//!    guarantees this by construction: `begin_span` refuses to open while
-//!    tracing is live, so a traced run takes the generic per-access path
-//!    whose instrumentation is shared with the stepped core.
 
 use hymm_core::audit;
-use hymm_core::config::{AcceleratorConfig, Dataflow, SchedulerKind};
+use hymm_core::config::{AcceleratorConfig, Dataflow};
 use hymm_core::trace::{TraceData, TraceKind, Track};
 use hymm_gcn::inference::run_inference;
 use hymm_gcn::model::GcnModel;
@@ -176,60 +170,6 @@ fn phase_markers_pair_up() {
         assert!(
             pairs >= 4,
             "{}: expected >= 4 phases, saw {pairs}",
-            df.label()
-        );
-    }
-}
-
-/// Trace on/off × stepped/event bit-identity: under both cores, tracing is
-/// observation-only, and the traced reports — every timestamp, duration,
-/// track ordering and drop count — are identical between the two cores.
-/// The event core must also have refused every span while the tracer was
-/// live (spans elide the per-access bookkeeping the trace hooks live in).
-#[test]
-fn traces_are_bit_identical_between_cores() {
-    let (adj, x, model) = fixture();
-    for df in Dataflow::EXTENDED {
-        let mut outcomes = Vec::with_capacity(4);
-        for scheduler in [SchedulerKind::Stepped, SchedulerKind::Event] {
-            for trace in [false, true] {
-                let mut config = if trace {
-                    traced_config()
-                } else {
-                    AcceleratorConfig::default()
-                };
-                config.scheduler = scheduler;
-                outcomes.push(run_inference(&config, df, &adj, &x, &model).unwrap());
-            }
-        }
-        let [stepped, stepped_traced, event, event_traced] = outcomes.try_into().unwrap();
-        assert_eq!(
-            stepped.report,
-            event.report,
-            "{}: untraced reports diverged between cores",
-            df.label()
-        );
-        assert_eq!(
-            stepped_traced.report,
-            event_traced.report,
-            "{}: traced reports (incl. every timestamp) diverged between cores",
-            df.label()
-        );
-        assert!(
-            event_traced.report.trace.is_some(),
-            "{}: tracing on returned no trace",
-            df.label()
-        );
-        assert_eq!(
-            event_traced.events,
-            hymm_mem::EventStats::default(),
-            "{}: spans must be refused while tracing is live",
-            df.label()
-        );
-        assert_eq!(
-            stepped.events,
-            hymm_mem::EventStats::default(),
-            "{}: the stepped core must never open spans",
             df.label()
         );
     }

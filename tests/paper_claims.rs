@@ -167,3 +167,42 @@ fn hybrid_op_region_merges_on_chip() {
     );
     assert_eq!(hy.merge_cycles, 0, "hybrid must not merge through the PEs");
 }
+
+/// Paper Fig. 7 and Fig. 11 at native Table II scale: AP and AC under OP,
+/// RWP and HyMM, pinned to the cycles and DRAM bytes of the recorded suite
+/// (the same cells as the benchmark's committed oracle). AP's HyMM speedup
+/// over OP is the paper's 4.78x headline.
+#[test]
+fn native_scale_headline_cells_are_pinned() {
+    use Dataflow::{Hybrid, Outer, RowWise};
+    const CELLS: [(Dataset, Dataflow, u64, u64); 6] = [
+        (Dataset::AmazonPhoto, Outer, 17_810_692, 350_290_432),
+        (Dataset::AmazonPhoto, RowWise, 4_249_862, 31_947_840),
+        (Dataset::AmazonPhoto, Hybrid, 3_722_779, 26_124_096),
+        (Dataset::AmazonComputers, Outer, 33_548_839, 662_806_016),
+        (Dataset::AmazonComputers, RowWise, 8_252_147, 71_657_216),
+        (Dataset::AmazonComputers, Hybrid, 7_088_905, 51_980_288),
+    ];
+    let mut cycles = Vec::new();
+    for dataset in [Dataset::AmazonPhoto, Dataset::AmazonComputers] {
+        let w = dataset.synthesize();
+        let model = GcnModel::two_layer(w.spec.feature_len, w.spec.layer_dim, w.spec.layer_dim, 42);
+        for &(_, df, want_cycles, want_bytes) in CELLS.iter().filter(|c| c.0 == dataset) {
+            let r = run_inference(
+                &AcceleratorConfig::default(),
+                df,
+                &w.adjacency,
+                &w.features,
+                &model,
+            )
+            .expect("shapes consistent")
+            .report;
+            let cell = format!("{} {}", dataset.abbrev(), df.label());
+            assert_eq!(r.cycles, want_cycles, "{cell} cycles");
+            assert_eq!(r.dram_bytes(), want_bytes, "{cell} DRAM bytes");
+            cycles.push(r.cycles);
+        }
+    }
+    let ap_speedup = cycles[0] as f64 / cycles[2] as f64;
+    assert_eq!(format!("{ap_speedup:.2}"), "4.78", "AP HyMM over OP");
+}
